@@ -7,8 +7,8 @@
 // contexts that run on bare host goroutines (par.ParallelFor bodies, HTTP
 // handler bodies in internal/serve), runtime calls inside the stage
 // closures of the fftx stage-graph IR, allocation on the zero-alloc
-// transform hot paths, and admission-queue sends missing their drain or
-// deadline guards.
+// hot paths (transforms, stage models, vtime.Machine rate models), and
+// admission-queue sends missing their drain or deadline guards.
 //
 // The checks are interprocedural: fftxvet builds a call graph with
 // per-function effect summaries over every package it loads, so a violation

@@ -29,10 +29,11 @@
 //     closures (Instr, Bytes, Count, Body, Part) and the graph package
 //     itself must never call mpi/vtime/ompss — synchronization and
 //     accounting are the scheduler's job.
-//   - hotalloc: the transform hot paths — fft Plan Transform*/transform*
-//     methods, the planar-layout Pack*/Unpack* boundary shims and
-//     the graph.Stage model closures — must not heap-allocate in steady
-//     state (PR 3's zero-alloc contract), directly or through any helper.
+//   - hotalloc: the hot paths — fft Plan Transform*/transform* methods,
+//     the planar-layout Pack*/Unpack* boundary shims, the graph.Stage
+//     model closures and vtime.Machine Rates methods — must not
+//     heap-allocate in steady state (the fft package's zero-alloc
+//     contract), directly or through any helper.
 //   - waitleak: every send on a serve.Server admission queue must be
 //     dominated by a drain guard and a deadline check, so requests are
 //     rejected with 503 + Retry-After instead of queueing unboundedly.

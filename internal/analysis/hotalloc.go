@@ -21,9 +21,12 @@ import (
 // (transformRowsSoA, transformColsSoA, ...) that the batch drivers fan
 // out to — (b) package-level Pack*/Unpack* functions whose signature
 // mentions an SoA-named type (the planar layout boundary shims, called
-// once per batch on the serving path), and (c) the
+// once per batch on the serving path), (c) the
 // graph.Stage model closures Instr, Bytes, Count and Part, which engines
-// call once per stage execution or per task-loop partition. Stage Body
+// call once per stage execution or per task-loop partition, and (d) Rates
+// methods taking a []*vtime.ActiveJob — vtime.Machine implementations such
+// as the KNL contention model, which the engine calls on every dispatch
+// step that changed the job set. Stage Body
 // closures are deliberately NOT roots: a Body builds the band's State
 // buffers (PrepSticks, ScatterSplit, ...), which is an allocation by
 // design, amortized by the engine's per-band reuse.
@@ -34,7 +37,7 @@ import (
 // is assumed to allocate.
 var HotAllocRule = Rule{
 	Name: "hotalloc",
-	Doc:  "transform hot paths (Plan.Transform*/transform*, SoA Pack*/Unpack* shims, graph.Stage model closures) must not allocate",
+	Doc:  "hot paths (Plan.Transform*/transform*, SoA Pack*/Unpack* shims, graph.Stage model closures, vtime.Machine Rates) must not allocate",
 	Run:  runHotAlloc,
 }
 
@@ -67,7 +70,7 @@ func runHotAlloc(p *Pass) []Diagnostic {
 			diags = append(diags, Diagnostic{
 				Pos:  p.Fset.Position(n.Pos()),
 				Rule: "hotalloc",
-				Message: fmt.Sprintf("%s in %s; the transform hot path is allocation-free in steady state — use the plan's scratch pool or preallocated state",
+				Message: fmt.Sprintf("%s in %s; the hot path is allocation-free in steady state — use the plan's scratch pool or preallocated state",
 					desc, where),
 			})
 		}
@@ -119,8 +122,8 @@ func runHotAlloc(p *Pass) []Diagnostic {
 
 	decls := packageFuncDecls(info, p.Pkg.Files)
 	for _, f := range p.Pkg.Files {
-		// (a) Transform*/transform* methods on Plan* receivers and
-		// (b) SoA Pack*/Unpack* boundary shims.
+		// (a) Transform*/transform* methods on Plan* receivers,
+		// (b) SoA Pack*/Unpack* boundary shims and (d) Machine Rates.
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -141,17 +144,18 @@ func runHotAlloc(p *Pass) []Diagnostic {
 				}
 				continue
 			}
-			if !strings.HasPrefix(fd.Name.Name, "Transform") && !strings.HasPrefix(fd.Name.Name, "transform") {
-				continue
-			}
 			if sig.Recv() == nil {
 				continue
 			}
 			named := namedOf(sig.Recv().Type())
-			if named == nil || !strings.HasPrefix(named.Obj().Name(), "Plan") {
+			if named == nil {
 				continue
 			}
-			scanRoot(fd.Body, fmt.Sprintf("%s.%s", named.Obj().Name(), fd.Name.Name))
+			transform := (strings.HasPrefix(fd.Name.Name, "Transform") || strings.HasPrefix(fd.Name.Name, "transform")) &&
+				strings.HasPrefix(named.Obj().Name(), "Plan")
+			if transform || (fd.Name.Name == "Rates" && isMachineRates(sig)) {
+				scanRoot(fd.Body, fmt.Sprintf("%s.%s", named.Obj().Name(), fd.Name.Name))
+			}
 		}
 
 		// (c) graph.Stage model closures.
@@ -208,6 +212,20 @@ func checkStageRef(p *Pass, decls map[*types.Func]*ast.FuncDecl, scanRoot func(a
 				s.Key.Display(), callPath(p.Prog, s.Key, EffAllocates), where),
 		})
 	}
+}
+
+// isMachineRates reports whether sig has the vtime.Machine Rates parameter
+// list: a single []*vtime.ActiveJob.
+func isMachineRates(sig *types.Signature) bool {
+	if sig.Params().Len() != 1 {
+		return false
+	}
+	s, ok := sig.Params().At(0).Type().(*types.Slice)
+	if !ok {
+		return false
+	}
+	_, ptr := s.Elem().(*types.Pointer)
+	return ptr && typeIs(s.Elem(), "internal/vtime", "ActiveJob")
 }
 
 // sigMentionsSoA reports whether any parameter or result of sig names a

@@ -1,6 +1,7 @@
 // Package hotalloc seeds violations of the hotalloc rule: heap allocation
-// on the zero-alloc transform hot paths — Transform* methods of Plan* types
-// and the graph.Stage model closures (Instr/Bytes/Count/Part).
+// on the zero-alloc hot paths — Transform* methods of Plan* types, the
+// graph.Stage model closures (Instr/Bytes/Count/Part) and vtime.Machine
+// Rates methods.
 package hotalloc
 
 import (
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/fftx/graph"
 	"repro/internal/knl"
+	"repro/internal/vtime"
 )
 
 // PlanLocal stands in for the fft plan types: the rule keys on the
@@ -131,3 +133,37 @@ func (p *PlanLocal) transformRowsLocal(rows int) {
 	s := make([]float64, rows) // want "make([]float64) allocates in PlanLocal.transformRowsLocal"
 	_ = s
 }
+
+// mapMachine stands in for a vtime.Machine: a Rates method taking
+// []*vtime.ActiveJob runs on every engine step that changed the job set, so
+// it is a hot root. Per-call maps are the allocation the rule exists for.
+type mapMachine struct{ demand [3]float64 }
+
+func (m *mapMachine) Rates(jobs []*vtime.ActiveJob) {
+	perLane := make(map[int]float64) // want "make(map[int]float64) allocates in mapMachine.Rates"
+	for _, j := range jobs {
+		perLane[j.Lane] += m.demand[j.Class]
+	}
+	for _, j := range jobs {
+		j.Rate = 1 / (1 + perLane[j.Lane])
+	}
+}
+
+// sliceMachine is the sanctioned shape: scratch sized once at construction.
+type sliceMachine struct{ perLane []float64 }
+
+func (m *sliceMachine) Rates(jobs []*vtime.ActiveJob) {
+	clear(m.perLane)
+	for _, j := range jobs {
+		m.perLane[j.Lane]++
+	}
+	for _, j := range jobs {
+		j.Rate = 1 / m.perLane[j.Lane]
+	}
+}
+
+// ratesByName shows the scoping by signature: a Rates method that does not
+// take the engine's job set is not a root.
+type ratesByName struct{}
+
+func (ratesByName) Rates(n int) []float64 { return make([]float64, n) }

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/knl"
 )
 
 // The stage-graph refactor contract: scheduling policy moved out of the
@@ -195,6 +197,34 @@ func TestGoldenEngineDigests(t *testing.T) {
 		}
 		if g != w {
 			t.Errorf("%s: behaviour diverged from pre-refactor golden:\n got  %+v\n want %+v", g.Name, g, w)
+		}
+	}
+}
+
+// TestHyperThreadedCostRunsRepeatExactly: when lanes share cores, the
+// contention model divides issue slots by non-binary fractions, so the
+// order in which it sums the node load shows in the last bits. It sums in
+// core order, so repeating a cost-mode run reproduces its runtime and trace
+// stream bit for bit.
+func TestHyperThreadedCostRunsRepeatExactly(t *testing.T) {
+	for _, e := range []Engine{EngineOriginal, EngineTaskSteps, EngineTaskIter, EngineTaskCombined, EngineDataflow} {
+		cfg := Config{Ecut: testEcut, Alat: testAlat, NB: 16, Ranks: 8, NTG: 4, Engine: e, Mode: ModeCost}
+		// About two lanes per core.
+		p := knl.DefaultParams()
+		p.Cores = (cfg.Lanes() + 1) / 2
+		cfg.Params = &p
+		var first goldenDigest
+		for rep := 0; rep < 3; rep++ {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%v: %v", e, err)
+			}
+			d := digestOf(e.String(), res)
+			if rep == 0 {
+				first = d
+			} else if d != first {
+				t.Fatalf("%v repeat %d: %+v, first run %+v", e, rep, d, first)
+			}
 		}
 	}
 }

@@ -93,29 +93,11 @@ func (c *Cluster) TotalLanes() int { return c.Lanes }
 // LaneNode implements Fabric.
 func (c *Cluster) LaneNode(lane int) int { return lane / c.lanesPerNode }
 
-// Rates implements vtime.Machine: jobs are grouped by node and each node's
-// model evaluates its own contention with node-local lane indices.
+// Rates implements vtime.Machine: each node's model, in node order,
+// evaluates its own contention over the jobs on its block of lanes.
 func (c *Cluster) Rates(jobs []*vtime.ActiveJob) {
-	if c.NodeCount == 1 {
-		c.nodes[0].Rates(jobs)
-		return
-	}
-	byNode := make(map[int][]*vtime.ActiveJob)
-	for _, j := range jobs {
-		byNode[c.LaneNode(j.Lane)] = append(byNode[c.LaneNode(j.Lane)], j)
-	}
-	for n, group := range byNode {
-		// Present node-local lane indices to the node model.
-		local := make([]*vtime.ActiveJob, len(group))
-		for i, j := range group {
-			cp := *j
-			cp.Lane = j.Lane - n*c.lanesPerNode
-			local[i] = &cp
-		}
-		c.nodes[n].Rates(local)
-		for i, j := range group {
-			j.Rate = local[i].Rate
-		}
+	for n, node := range c.nodes {
+		node.rates(jobs, n*c.lanesPerNode)
 	}
 }
 
@@ -142,21 +124,13 @@ func (c *Cluster) interTime(k int, bytesPerRank float64, commLanes, nodesSpanned
 // paths dominates a pipelined exchange, so the maximum is charged.
 func (c *Cluster) AlltoallTime(k int, bytesPerRank float64, commLanes, nodesSpanned int) float64 {
 	intra := c.nodes[0].AlltoallTime(k, bytesPerRank, commLanes, 1)
-	inter := c.interTime(k, bytesPerRank, commLanes, nodesSpanned)
-	if inter > intra {
-		return inter
-	}
-	return intra
+	return max(intra, c.interTime(k, bytesPerRank, commLanes, nodesSpanned))
 }
 
 // BcastTime implements Fabric.
 func (c *Cluster) BcastTime(k int, bytes float64, commLanes, nodesSpanned int) float64 {
 	intra := c.nodes[0].BcastTime(k, bytes, commLanes, 1)
-	inter := c.interTime(k, bytes, commLanes, nodesSpanned)
-	if inter > intra {
-		return inter
-	}
-	return intra
+	return max(intra, c.interTime(k, bytes, commLanes, nodesSpanned))
 }
 
 // ReduceTime implements Fabric.
@@ -170,9 +144,5 @@ func (c *Cluster) P2PTime(bytes float64, commLanes, nodesSpanned int) float64 {
 	if nodesSpanned <= 1 {
 		return intra
 	}
-	inter := c.Net.Latency + bytes/c.Net.Bandwidth
-	if inter > intra {
-		return inter
-	}
-	return intra
+	return max(intra, c.Net.Latency+bytes/c.Net.Bandwidth)
 }

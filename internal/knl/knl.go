@@ -125,6 +125,10 @@ type Node struct {
 	P     Params
 	Lanes int
 	core  []int // lane -> physical core
+
+	// Rates scratch, sized once: issue share and bandwidth demand per
+	// core, L2 share per tile.
+	share, coreBW, tileShare []float64
 }
 
 // NewNode returns a node with the given parameter set and lane count. Lanes
@@ -138,7 +142,8 @@ func NewNode(p Params, lanes int) *Node {
 	if lanes > 4*p.Cores {
 		panic(fmt.Sprintf("knl: %d lanes exceed 4-way hyper-threading on %d cores", lanes, p.Cores))
 	}
-	n := &Node{P: p, Lanes: lanes, core: make([]int, lanes)}
+	n := &Node{P: p, Lanes: lanes, core: make([]int, lanes), share: make([]float64, p.Cores),
+		coreBW: make([]float64, p.Cores), tileShare: make([]float64, (p.Cores+1)/2)}
 	for l := 0; l < lanes; l++ {
 		n.core[l] = l % p.Cores
 	}
@@ -166,14 +171,21 @@ func (p Params) Slowdown(load float64) float64 {
 //	rate = Freq * BaseIPC(class) * issueShare(core) * S(load)^Sens(class)
 //
 // where issueShare divides a core's issue slots among its hyper-threads in
-// proportion to their demands, and load is the sum over cores of the
-// (issue-share-weighted, capped) bandwidth demands of their jobs.
-func (n *Node) Rates(jobs []*vtime.ActiveJob) {
-	// Per-core aggregation. Jobs are few (<= lanes), so two passes suffice.
-	issueSum := make(map[int]float64)
+// proportion to their demands, and load is the sum over cores, in ascending
+// core order, of the (issue-share-weighted, capped) bandwidth demands of
+// their jobs.
+func (n *Node) Rates(jobs []*vtime.ActiveJob) { n.rates(jobs, 0) }
+
+// rates is Rates for the jobs on lanes base to base+Lanes-1, which are this
+// node's lanes 0 to Lanes-1; it leaves every other job untouched.
+func (n *Node) rates(jobs []*vtime.ActiveJob, base int) {
+	clear(n.share)
+	clear(n.coreBW)
+	clear(n.tileShare)
 	for _, j := range jobs {
-		c := Class(j.Class)
-		issueSum[n.core[j.Lane]] += n.P.IssueDemand[c]
+		if c := n.coreOf(j.Lane - base); c >= 0 {
+			n.share[c] += n.P.IssueDemand[j.Class]
+		}
 	}
 	// Proportional issue sharing: when the demands on a core exceed its
 	// slots, thread i receives demand_i/total slots; its speed relative to
@@ -181,49 +193,48 @@ func (n *Node) Rates(jobs []*vtime.ActiveJob) {
 	// core. Two compute-intensive threads (demand 1 each) halve; a
 	// compute-intensive thread paired with a memory-bound one (demand 0.4)
 	// only drops to 1/1.4.
-	share := func(j *vtime.ActiveJob) float64 {
-		tot := issueSum[n.core[j.Lane]]
-		if tot <= 1 {
-			return 1
-		}
-		return 1 / tot
-	}
+	toShares(n.share)
 	// Node-shared load: per core, bandwidth demand is reduced by the issue
 	// sharing (a half-speed thread generates half the traffic) and capped
-	// at one fully-streaming core.
-	var load float64
-	coreBW := make(map[int]float64)
+	// at one fully-streaming core. Optional tile level: cores 2t and 2t+1
+	// share an L2 (all-zero TileDemand leaves every tile share at 1).
 	for _, j := range jobs {
-		c := Class(j.Class)
-		coreBW[n.core[j.Lane]] += n.P.BWDemand[c] * share(j)
+		if c := n.coreOf(j.Lane - base); c >= 0 {
+			n.coreBW[c] += n.P.BWDemand[j.Class] * n.share[c]
+			n.tileShare[c/2] += n.P.TileDemand[j.Class] * n.share[c]
+		}
 	}
-	for _, bw := range coreBW {
+	toShares(n.tileShare)
+	var load float64
+	for _, bw := range n.coreBW {
 		load += math.Min(bw, 1)
 	}
-	// Optional tile level: cores 2t and 2t+1 share an L2.
-	var tileSum map[int]float64
-	if n.P.TileDemand != ([numClasses]float64{}) {
-		tileSum = make(map[int]float64)
-		for _, j := range jobs {
-			c := Class(j.Class)
-			tileSum[n.core[j.Lane]/2] += n.P.TileDemand[c] * share(j)
-		}
-	}
-	tileShare := func(j *vtime.ActiveJob) float64 {
-		if tileSum == nil {
-			return 1
-		}
-		tot := tileSum[n.core[j.Lane]/2]
-		if tot <= 1 {
-			return 1
-		}
-		return 1 / tot
-	}
 	s := n.P.Slowdown(load)
+	var contention [numClasses]float64
+	for c := range contention {
+		contention[c] = math.Pow(s, n.P.Sens[c])
+	}
 	for _, j := range jobs {
-		c := Class(j.Class)
-		ipc := n.P.BaseIPC[c] * share(j) * tileShare(j) * math.Pow(s, n.P.Sens[c])
-		j.Rate = n.P.Freq * ipc
+		if c := n.coreOf(j.Lane - base); c >= 0 {
+			ipc := n.P.BaseIPC[j.Class] * n.share[c] * n.tileShare[c/2] * contention[j.Class]
+			j.Rate = n.P.Freq * ipc
+		}
+	}
+}
+
+// coreOf returns the core hosting a lane, or -1 if the node has no such lane.
+func (n *Node) coreOf(lane int) int {
+	if lane < 0 || lane >= n.Lanes {
+		return -1
+	}
+	return n.core[lane]
+}
+
+// toShares turns summed demands into the speed of each thread relative to
+// running alone: 1/total once the demands exceed the slots.
+func toShares(sums []float64) {
+	for i, tot := range sums {
+		sums[i] = 1 / max(tot, 1)
 	}
 }
 

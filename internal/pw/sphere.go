@@ -115,45 +115,39 @@ func newSphere(ecut, alat float64, gamma bool) *Sphere {
 		Grid:  Grid{Nx: n, Ny: n, Nz: n},
 		Gamma: gamma,
 	}
-	lim := int(gmaxW) + 1
-	type ij struct{ i, j int }
-	sticks := map[ij][]int{}
+	// Column (i,j) holds K in [lo, hi]: |G|² is an integer, so
+	// i²+j²+k² <= gcut iff k² <= floor(gcut)-i²-j².
+	type column struct{ i, j, lo, hi int }
+	var cols []column
+	ng, lim := 0, int(gmaxW)
 	for i := -lim; i <= lim; i++ {
 		for j := -lim; j <= lim; j++ {
-			for k := -lim; k <= lim; k++ {
-				g2 := float64(i*i + j*j + k*k)
-				if g2 <= gcut && (!gamma || gammaHalf(i, j, k)) {
-					sticks[ij{i, j}] = append(sticks[ij{i, j}], k)
-				}
+			rem := int(gcut) - i*i - j*j
+			if rem < 0 || (gamma && !gammaHalf(i, j, 0)) {
+				continue
 			}
+			c := column{i, j, 0, int(math.Sqrt(float64(rem)))}
+			if !gamma || i != 0 || j != 0 {
+				c.lo = -c.hi
+			}
+			cols = append(cols, c)
+			ng += c.hi - c.lo + 1
 		}
 	}
-	keys := make([]ij, 0, len(sticks))
-	for k := range sticks {
-		keys = append(keys, k)
-	}
-	// Canonical stick order: by column norm i²+j² ascending, ties by (i,j).
-	sort.Slice(keys, func(a, b int) bool {
-		na, nb := keys[a].i*keys[a].i+keys[a].j*keys[a].j, keys[b].i*keys[b].i+keys[b].j*keys[b].j
-		if na != nb {
-			return na < nb
+	// Canonical stick order: by column norm i²+j² ascending, ties by (i,j),
+	// the order the loops above visit the columns in.
+	norm := func(c column) int { return c.i*c.i + c.j*c.j }
+	sort.SliceStable(cols, func(a, b int) bool { return norm(cols[a]) < norm(cols[b]) })
+	s.G = make([]GVector, 0, ng)
+	s.Stick = make([]Stick, len(cols))
+	zs := make([]int, 0, ng)
+	for n, c := range cols {
+		off := len(zs)
+		for k := c.lo; k <= c.hi; k++ {
+			zs = append(zs, k)
+			s.G = append(s.G, GVector{I: c.i, J: c.j, K: k, G2: float64(c.i*c.i + c.j*c.j + k*k)})
 		}
-		if keys[a].i != keys[b].i {
-			return keys[a].i < keys[b].i
-		}
-		return keys[a].j < keys[b].j
-	})
-	off := 0
-	for _, key := range keys {
-		zs := sticks[key]
-		sort.Ints(zs)
-		st := Stick{I: key.i, J: key.j, Zs: zs, Off: off}
-		s.Stick = append(s.Stick, st)
-		for _, k := range zs {
-			s.G = append(s.G, GVector{I: key.i, J: key.j, K: k,
-				G2: float64(key.i*key.i + key.j*key.j + k*k)})
-		}
-		off += len(zs)
+		s.Stick[n] = Stick{I: c.i, J: c.j, Zs: zs[off:len(zs):len(zs)], Off: off}
 	}
 	return s
 }

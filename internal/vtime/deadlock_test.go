@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -65,5 +66,57 @@ func TestBareBlockStillDiagnosable(t *testing.T) {
 	}
 	if !strings.Contains(de.Blocked[0].WaitingOn, "unknown") {
 		t.Errorf("WaitingOn = %q, want unknown placeholder", de.Blocked[0].WaitingOn)
+	}
+}
+
+// machineFunc adapts a function to the Machine interface.
+type machineFunc func(jobs []*ActiveJob)
+
+func (f machineFunc) Rates(jobs []*ActiveJob) { f(jobs) }
+
+// TestInvalidRateAfterCompletionIsError: a machine that sets rate 0 once
+// the job count drops below its peak (after a job completes) must surface
+// as a structured error from Run naming the surviving job's lane and class,
+// not crash the host.
+func TestInvalidRateAfterCompletionIsError(t *testing.T) {
+	peak := 0
+	e := NewEngine(machineFunc(func(jobs []*ActiveJob) {
+		peak = max(peak, len(jobs))
+		for _, j := range jobs {
+			j.Rate = 1
+			if len(jobs) < peak {
+				j.Rate = 0
+			}
+		}
+	}))
+	e.Spawn("short", func(p *Proc) { p.Compute(Job{Work: 1, Class: 2, Lane: 0}) })
+	e.Spawn("long", func(p *Proc) { p.Compute(Job{Work: 5, Class: 3, Lane: 7}) })
+	err := e.Run()
+	var re *RateError
+	if !errors.As(err, &re) {
+		t.Fatalf("Run() = %v, want *RateError", err)
+	}
+	if re.Lane != 7 || re.Class != 3 || re.Rate != 0 || re.At != 1 {
+		t.Fatalf("RateError %+v, want lane 7 class 3 rate 0 at t=1", *re)
+	}
+	for _, want := range []string{"invalid rate", "lane 7", "class 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+}
+
+// TestInvalidRateAtStartIsError: the same check covers a rate set when a
+// job starts, and NaN as well as zero.
+func TestInvalidRateAtStartIsError(t *testing.T) {
+	e := NewEngine(machineFunc(func(jobs []*ActiveJob) {
+		for _, j := range jobs {
+			j.Rate = math.NaN()
+		}
+	}))
+	e.Spawn("lone", func(p *Proc) { p.Compute(Job{Work: 1, Class: 1, Lane: 4}) })
+	var re *RateError
+	if err := e.Run(); !errors.As(err, &re) || re.Lane != 4 || re.Class != 1 {
+		t.Fatalf("Run() = %v, want *RateError for lane 4 class 1", err)
 	}
 }

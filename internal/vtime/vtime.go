@@ -46,8 +46,8 @@ type ActiveJob struct {
 }
 
 // Machine decides execution rates for the set of jobs that are currently
-// active. It is called whenever the set changes (a job starts or finishes).
-// Implementations must set Rate > 0 for every job.
+// active. It is called at the start of each dispatch step in which the set
+// changed, and must set a finite Rate > 0 for every job.
 type Machine interface {
 	Rates(jobs []*ActiveJob)
 }
@@ -158,12 +158,12 @@ type Engine struct {
 	seq      uint64
 	events   eventHeap
 	jobs     []*ActiveJob
+	dirty    bool // jobs changed since the last Machine.Rates call
 	machine  Machine
 	procs    []*Proc
 	yieldCh  chan *Proc
 	nAlive   int
 	nBlocked int
-	started  bool
 	err      error
 	stats    Stats
 }
@@ -233,10 +233,6 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		p.state = stateDone
 		e.yieldCh <- p
 	}()
-	if e.started {
-		// fn starts when the event fires; nothing more to do here.
-		_ = p
-	}
 	return p
 }
 
@@ -261,10 +257,9 @@ func (e *Engine) wake(p *Proc) {
 
 // Run executes the simulation until every process has finished. It returns
 // a *DeadlockError on deadlock (blocked processes remain but no event or
-// job can make progress) and an error describing the panic if a process
-// body panics.
+// job can make progress), a *RateError if the Machine sets an invalid rate,
+// and an error describing the panic if a process body panics.
 func (e *Engine) Run() error {
-	e.started = true
 	for e.nAlive > 0 {
 		if err := e.step(); err != nil {
 			e.err = err
@@ -284,7 +279,12 @@ func (e *Engine) MustRun() {
 
 // step advances the simulation by one event: it finds the next wake-up or
 // job completion, advances the clock, and dispatches exactly one process.
+// Rates are refreshed once, first: only the completion scan and
+// advanceJobs read them, so this equals refreshing on every job change.
 func (e *Engine) step() error {
+	if err := e.refreshRates(); err != nil {
+		return err
+	}
 	// Earliest job completion.
 	jobAt := Time(math.Inf(1))
 	var jobDone *ActiveJob
@@ -354,31 +354,45 @@ func (e *Engine) advanceJobs(dt Time) {
 
 func (e *Engine) addJob(j *ActiveJob) {
 	e.jobs = append(e.jobs, j)
-	e.refreshRates()
+	e.dirty = true
 }
 
 func (e *Engine) removeJob(j *ActiveJob) {
 	for i, k := range e.jobs {
 		if k == j {
 			e.jobs = append(e.jobs[:i], e.jobs[i+1:]...)
-			e.refreshRates()
+			e.dirty = true
 			return
 		}
 	}
 	panic("vtime: removeJob: job not active")
 }
 
-func (e *Engine) refreshRates() {
-	if len(e.jobs) == 0 {
-		return
+func (e *Engine) refreshRates() error {
+	if !e.dirty || len(e.jobs) == 0 {
+		return nil
 	}
+	e.dirty = false
 	e.stats.RateUpdates++
 	e.machine.Rates(e.jobs)
 	for _, j := range e.jobs {
-		if !(j.Rate > 0) || math.IsInf(j.Rate, 0) || math.IsNaN(j.Rate) {
-			panic(fmt.Sprintf("vtime: machine set invalid rate %v for lane %d class %d", j.Rate, j.Lane, j.Class))
+		if !(j.Rate > 0) || math.IsInf(j.Rate, 0) {
+			return &RateError{At: e.now, Lane: j.Lane, Class: j.Class, Rate: j.Rate}
 		}
 	}
+	return nil
+}
+
+// RateError is returned by Run when the Machine sets a rate that is not
+// finite and positive.
+type RateError struct {
+	At          Time
+	Lane, Class int
+	Rate        float64
+}
+
+func (e *RateError) Error() string {
+	return fmt.Sprintf("vtime: machine set invalid rate %v for lane %d class %d at t=%g", e.Rate, e.Lane, e.Class, e.At)
 }
 
 // BlockedProc describes one blocked process in a deadlock report.
@@ -429,7 +443,7 @@ func (e *Engine) deadlockError() error {
 }
 
 // ActiveJobs returns the jobs currently in flight. Intended for Machine
-// implementations and tests.
+// implementations and tests; rates are as of the last dispatch step.
 func (e *Engine) ActiveJobs() []*ActiveJob { return e.jobs }
 
 // --- Proc API (called from inside process bodies) ---
