@@ -118,10 +118,12 @@ vet-bench:
 # engines-matrix is the cross-engine smoke gate: the short-mode equivalence
 # matrix (all engines x modes x {complex,gamma} through the shared stage
 # graph) plus the auto-selector contract and the dataflow engine's
-# barrier-free properties, then the quick-suite runtime matrix for
-# eyeballing. It runs under the race detector: the dataflow engine and the
-# work-stealing pool are the code most exposed to scheduling races, so the
-# matrix doubles as their concurrency gate.
+# properties (no lane MPI time, its lookahead window beating task-combined
+# on narrow ranks, engine-invariant instruction totals), then the
+# quick-suite runtime matrix for eyeballing. It runs under the race
+# detector: the async-scatter engines and the work-stealing pool are the
+# code most exposed to scheduling races, so the matrix doubles as their
+# concurrency gate.
 engines-matrix:
 	$(GO) test -race ./internal/fftx -short -count=1 -run 'TestEngineMatrix|TestAutoSelectsFastestEngine|TestAutoRunResolvesAndMatches|TestDataflow'
 	$(GO) run ./cmd/fftxbench -quick engines

@@ -25,9 +25,9 @@ type EnginesRow struct {
 	// Runtime holds one entry per EnginesResult.Engines; NaN marks an
 	// engine the configuration cannot run (lane budget, shape limits).
 	Runtime []float64
-	// Taskwait holds the per-engine taskwait barrier stall (summed over
-	// ranks), parallel to Runtime — zero for barrier-free engines
-	// (original, dataflow), NaN where Runtime is NaN.
+	// Taskwait holds the per-engine time parked in Taskwait (summed over
+	// ranks), parallel to Runtime — zero for original, which has no task
+	// runtime, NaN where Runtime is NaN.
 	Taskwait []float64
 	// Selected is the engine EngineAuto resolves to at this point.
 	Selected fftx.Engine

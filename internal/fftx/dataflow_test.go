@@ -6,26 +6,26 @@ import (
 	"repro/internal/trace"
 )
 
-// The dataflow engine's defining property: no process ever blocks at a
-// taskwait barrier. The combined engine at the same shape must show the
-// stall the dataflow engine eliminated.
-func TestDataflowHasNoTaskwaitStall(t *testing.T) {
-	mk := func(e Engine) *Result {
-		cfg := Config{Ecut: 20, Alat: 12, NB: 32, Ranks: 4, NTG: 4,
-			Engine: e, Mode: ModeCost}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", e, err)
+// TaskwaitSec is the main processes' park in the final Taskwait, summed
+// over ranks. Every task engine submits its whole schedule up front and
+// parks until the last task completes, so at one rank the park is the run;
+// at R ranks each rank parks for at most the run.
+func TestTaskwaitSecCountsMainPark(t *testing.T) {
+	for _, e := range []Engine{EngineTaskIter, EngineTaskCombined, EngineDataflow} {
+		for _, ranks := range []int{1, 4} {
+			cfg := Config{Ecut: 20, Alat: 12, NB: 32, Ranks: ranks, NTG: 4,
+				Engine: e, Mode: ModeCost}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%v %dx4: %v", e, ranks, err)
+			}
+			if ranks == 1 && res.TaskwaitSec != res.Runtime {
+				t.Errorf("%v 1x4: TaskwaitSec %v, want the runtime %v", e, res.TaskwaitSec, res.Runtime)
+			}
+			if bound := float64(ranks) * res.Runtime; res.TaskwaitSec <= 0 || res.TaskwaitSec > bound {
+				t.Errorf("%v %dx4: TaskwaitSec %v, want in (0, %v]", e, ranks, res.TaskwaitSec, bound)
+			}
 		}
-		return res
-	}
-	df := mk(EngineDataflow)
-	if df.TaskwaitSec != 0 {
-		t.Errorf("dataflow run reports TaskwaitSec %v, want 0", df.TaskwaitSec)
-	}
-	comb := mk(EngineTaskCombined)
-	if comb.TaskwaitSec <= 0 {
-		t.Errorf("task-combined run reports TaskwaitSec %v, want > 0", comb.TaskwaitSec)
 	}
 }
 

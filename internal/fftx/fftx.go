@@ -19,8 +19,10 @@
 //     layer is replaced by threads (R ranks × T workers, NTG = 1); every
 //     band's whole pipeline is one task, scheduled asynchronously, which
 //     de-synchronizes the compute phases and softens resource contention.
-//   - EngineTaskCombined — the future-work combination: per-band tasks
-//     with asynchronous, communication-thread-driven scatters.
+//   - EngineTaskCombined — the future-work combination: per-band segment
+//     tasks with asynchronous, communication-thread-driven scatters.
+//   - EngineDataflow — the same segment schedule with a lookahead window
+//     of NTG bands per rank.
 //   - EngineAuto — a cost-model-driven selector: it probes the applicable
 //     engines in ModeCost against the calibrated knl model and runs the
 //     fastest for the given (grid, ranks, NTG, threads) point.
@@ -53,14 +55,13 @@ const (
 	// EngineTaskIter is the per-iteration task version (Figure 5).
 	EngineTaskIter
 	// EngineTaskCombined is the paper's future-work combination: per-band
-	// tasks with asynchronous, communication-thread-driven scatters, so
-	// communication overlaps computation AND phases de-synchronize.
+	// segment tasks with asynchronous, communication-thread-driven
+	// scatters, so communication overlaps computation AND phases
+	// de-synchronize (runSegmented with no lookahead limit).
 	EngineTaskCombined
-	// EngineDataflow walks the stage graph as dataflow futures with
-	// continuations (see dataflow.go): per-band segment tasks released by
-	// successor counting the moment their scatter future resolves,
-	// critical-path-first priorities, and no taskwait barrier anywhere —
-	// the rank's main process parks on a single join future.
+	// EngineDataflow is EngineTaskCombined with a lookahead window: band b
+	// starts only after band b−NTG has finished, capping the in-flight
+	// bands per rank at the worker count (runSegmented with window NTG).
 	EngineDataflow
 	// EngineAuto probes the applicable engines in ModeCost and runs the
 	// fastest for the configured workload shape (see auto.go).
@@ -249,9 +250,10 @@ type Result struct {
 	// one when Config asked for EngineAuto.
 	Engine Engine
 	// TaskwaitSec is the virtual time the run's task runtimes spent blocked
-	// at Taskwait barriers, summed over ranks — the barrier-stall account
-	// the dataflow engine exists to eliminate (it is 0 there by
-	// construction; engines without a task runtime also report 0).
+	// in Taskwait, summed over ranks. The task engines submit their whole
+	// schedule up front, so this is mostly the main processes' park while
+	// the workers run, not a barrier stall between phases; engines without
+	// a task runtime report 0.
 	TaskwaitSec float64
 	// Bands holds the transformed band coefficients (full sphere ordering)
 	// in ModeReal; nil in ModeCost.

@@ -3,10 +3,10 @@
 // the mirror legs) expressed once as a declarative list of stages, built
 // from the problem geometry by Kernel.Pipeline. Each stage carries its KNL
 // intensity class, its analytic instruction model, its communication
-// volume (scatter stages) and its pure-numeric data transform; the four
+// volume (scatter stages) and its pure-numeric data transform; the
 // execution engines of package fftx are schedulers that walk this one
 // graph under different policies (static collectives, per-step tasks,
-// per-band tasks, combined async scatters).
+// per-band tasks, per-segment tasks with async scatters).
 //
 // The package is deliberately runtime-free: it imports only the numeric
 // and model layers (fft, knl, pw, par). Stage bodies must never call into
@@ -130,7 +130,8 @@ func (g *Graph) Steps() []Step {
 
 // Segments splits the pipeline at its scatter edges: segs[i] is the
 // compute run before scatters[i] (and segs[len(scatters)] the final run),
-// which is exactly the task decomposition of the combined engine.
+// which is exactly the task decomposition of the segmented engines
+// (task-combined and dataflow).
 func (g *Graph) Segments() (segs [][]*Stage, scatters []*Stage) {
 	segs = [][]*Stage{nil}
 	for i := range g.Stages {

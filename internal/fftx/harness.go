@@ -23,7 +23,7 @@ type harness struct {
 	sink trace.Sink
 	w    *mpi.World
 	// rts are the task runtimes built through newRankRuntime, tracked so
-	// finish can sum their barrier-stall accounts into Result.TaskwaitSec.
+	// finish can sum their Taskwait accounts into Result.TaskwaitSec.
 	rts []*ompss.Runtime
 }
 

@@ -132,9 +132,9 @@ func runEngine(cfg Config) (*Result, error) {
 	case EngineTaskIter:
 		return runTaskIter(cfg)
 	case EngineTaskCombined:
-		return runTaskCombined(cfg)
+		return runSegmented(cfg, 0)
 	case EngineDataflow:
-		return runDataflow(cfg)
+		return runSegmented(cfg, cfg.NTG)
 	}
 	return nil, errUnknownEngine(cfg.Engine)
 }

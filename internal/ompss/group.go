@@ -88,7 +88,9 @@ type Promise struct {
 }
 
 // NewPromise registers a pseudo-task writing the given regions. The regions
-// must have no pending writers or readers (the promise cannot wait).
+// must have no pending writers or readers (the promise cannot wait). The
+// promise counts toward Taskwait's pending set but not toward the task
+// metrics: it is never submitted and never runs on a worker.
 func (rt *Runtime) NewPromise(label string, regions ...any) *Promise {
 	// Validate every region before touching any runtime state, so a panic
 	// leaves the runtime consistent.

@@ -193,6 +193,27 @@ func TestTaskwaitIncludesPromises(t *testing.T) {
 	}
 }
 
+// A promise is not a submitted task: a run that creates and fulfills one
+// moves the task metrics by its real tasks only and leaves in-flight where
+// it started.
+func TestPromiseNotCountedAsTask(t *testing.T) {
+	created, completed, inFlight := mTasksCreated.Value(), mTasksCompleted.Value(), mTasksInFlight.Value()
+	runTasks(t, 1, func(p *vtime.Proc, rt *Runtime) {
+		pr := rt.NewPromise("comm", "r")
+		rt.Submit(p, "consumer", []Dep{In("r")}, 0, func(w *Worker) {})
+		pr.Fulfill(p)
+	})
+	if d := mTasksCreated.Value() - created; d != 1 {
+		t.Errorf("tasks created delta = %g, want 1", d)
+	}
+	if d := mTasksCompleted.Value() - completed; d != 1 {
+		t.Errorf("tasks completed delta = %g, want 1", d)
+	}
+	if d := mTasksInFlight.Value() - inFlight; d != 0 {
+		t.Errorf("tasks in flight delta = %g, want 0", d)
+	}
+}
+
 // Regression: a worker waiting on a nested group must NOT pick up arbitrary
 // ready tasks (it could block inside an unrelated MPI call and deadlock the
 // rank); it may only execute its group's children. The scenario: the only

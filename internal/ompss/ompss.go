@@ -97,7 +97,6 @@ type Task struct {
 	priority int
 	npred    int
 	succs    []*Task
-	conts    []func(p *vtime.Proc) // run at completion, after successor release
 	done     bool
 	group    *Group // non-nil for group members
 }
@@ -127,9 +126,8 @@ type Runtime struct {
 	Overhead float64
 
 	// TaskwaitSec accumulates the virtual time this runtime's processes
-	// spent blocked in Taskwait — the per-runtime barrier-stall account
-	// (the package metric mTaskwaitSec aggregates across runtimes). The
-	// dataflow engine never calls Taskwait, so this stays zero there.
+	// spent blocked in Taskwait (the package metric mTaskwaitSec
+	// aggregates across runtimes).
 	TaskwaitSec float64
 
 	// Strict enables runtime invariant checks: Taskwait verifies the
@@ -273,10 +271,19 @@ func (rt *Runtime) popReady() *Task {
 
 // runTask executes a claimed task's body, observing its virtual duration,
 // and completes it. Shared by the worker loop and inline group execution.
+// The task metrics are kept here rather than in complete, which promises
+// share: a promise is not a submitted task. The body is dropped once it
+// has run: region state keeps completed tasks as last writer and readers
+// until the region is written again, and the body's captures (a band's
+// buffers) must not live that long.
 func (rt *Runtime) runTask(w *Worker, t *Task) {
 	start := w.Proc.Now()
-	t.fn(w)
+	fn := t.fn
+	t.fn = nil
+	fn(w)
 	mTaskDuration.Observe(w.Proc.Now() - start)
+	mTasksCompleted.Inc()
+	mTasksInFlight.Add(-1)
 	rt.complete(w.Proc, t)
 }
 
@@ -306,8 +313,6 @@ func (rt *Runtime) workerLoop(w *Worker) {
 
 func (rt *Runtime) complete(p *vtime.Proc, t *Task) {
 	t.done = true
-	mTasksCompleted.Inc()
-	mTasksInFlight.Add(-1)
 	for _, s := range t.succs {
 		s.npred--
 		if s.npred == 0 {
@@ -321,15 +326,6 @@ func (rt *Runtime) complete(p *vtime.Proc, t *Task) {
 	}
 	if rt.pending == 0 {
 		rt.waitWQ.WakeAll(p)
-	}
-	// Task continuations run last, after this task has left the pending
-	// count: a continuation that resolves the schedule's final join must
-	// observe pending == 0, so a waiter released by the join can proceed
-	// straight to Shutdown.
-	conts := t.conts
-	t.conts = nil
-	for _, fn := range conts {
-		fn(p)
 	}
 }
 

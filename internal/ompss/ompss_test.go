@@ -164,6 +164,43 @@ func TestTaskwaitBlocksUntilDone(t *testing.T) {
 	}
 }
 
+// Taskwait charges its stall to the runtime's TaskwaitSec account.
+func TestTaskwaitSecAccounting(t *testing.T) {
+	node := knl.NewNode(knl.DefaultParams(), 1)
+	eng := vtime.NewEngine(node)
+	rt := New(eng, nil, []int{0})
+	rt.Overhead = 0
+	eng.Spawn("main", func(p *vtime.Proc) {
+		rt.Submit(p, "slow", nil, 0, func(w *Worker) { w.Proc.Sleep(3) })
+		rt.Taskwait(p)
+		rt.Shutdown(p)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rt.TaskwaitSec != 3 {
+		t.Fatalf("TaskwaitSec = %v, want 3", rt.TaskwaitSec)
+	}
+}
+
+// A completed task stays reachable from its regions' last-writer and
+// reader lists, so the runtime must drop its body (and whatever the body
+// captured) once it has run.
+func TestCompletedTaskDropsBody(t *testing.T) {
+	var tasks []*Task
+	runTasks(t, 2, func(p *vtime.Proc, rt *Runtime) {
+		buf := make([]complex128, 1<<10)
+		tasks = append(tasks,
+			rt.Submit(p, "writer", []Dep{Out("r")}, 0, func(w *Worker) { buf[0] = 1 }),
+			rt.Submit(p, "reader", []Dep{In("r")}, 0, func(w *Worker) { _ = buf[0] }))
+	})
+	for _, task := range tasks {
+		if task.fn != nil {
+			t.Errorf("task %q still holds its body after completion", task.label)
+		}
+	}
+}
+
 func TestTaskLoopCoversRange(t *testing.T) {
 	covered := make([]bool, 23)
 	runTasks(t, 3, func(p *vtime.Proc, rt *Runtime) {

@@ -12,12 +12,12 @@
 #                   radix family (the Batch_AoS_*/Batch_SoA_* pairs) — the
 #                   measurements behind the PickLayout/PickRadix policy
 #
-# BENCH_engines.json records the quick-suite cost-mode runtime and taskwait
-# barrier stall of every fftx engine at every rank point plus the EngineAuto
+# BENCH_engines.json records the quick-suite cost-mode runtime and Taskwait
+# park time of every fftx engine at every rank point plus the EngineAuto
 # pick — the record that the stage-graph refactor kept the engines'
 # simulated runtimes neutral, that "auto" tracks the per-row minimum, and
-# that the barrier-free dataflow engine beats task-combined on the
-# taskwait-heavy narrow-rank shapes (check-bench.sh pins that floor).
+# that the dataflow engine's lookahead window beats task-combined's
+# unbounded one on the narrow-rank shapes (check-bench.sh pins that floor).
 #
 # Noise handling: the host is too noisy (frequency bimodality, sibling
 # load) for a single timing per benchmark to yield stable ratios, so each

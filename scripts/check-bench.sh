@@ -18,9 +18,9 @@
 #
 # It also reads the checked-in BENCH_engines.json and fails unless the
 # dataflow engine's simulated runtime beats task-combined on at least one
-# committed shape — the bounded-lookahead schedule's win on the
-# taskwait-heavy narrow-rank points is a headline claim of the dataflow
-# engine, pinned here like any other ratio.
+# committed shape — the lookahead window's win on the narrow-rank points
+# is a headline claim of the dataflow engine, pinned here like any other
+# ratio.
 #
 # Regenerating these files with results below the floors and committing
 # them is the failure this script exists to catch.
